@@ -156,8 +156,8 @@ BENCHMARK(BM_DiagonalLongRuns)
     ->ArgsProduct({{8, 12, 16, 20}, {0, 1}});
 
 // The fused-2 hot path: a dense 4x4 block (what a fused pair of gates
-// becomes) applied through apply2's quad-run kernel vs applyK's
-// gather/scatter on the same targets.
+// becomes) applied through apply2's quad-run kernel, per level, and
+// through applyK, which routes k = 2 to the same kernel.
 void BM_Fused2Apply2(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto previous = qclab::sim::setSimdLevel(benchLevel(state));
@@ -187,6 +187,41 @@ void BM_Fused2ApplyK(benchmark::State& state) {
                           static_cast<std::int64_t>(psi.size()) * sizeof(C));
 }
 BENCHMARK(BM_Fused2ApplyK)->DenseRange(8, 20, 4);
+
+// Dense k-qubit gates (fused blocks of width k) by gate width and target
+// position, Qulacs-style.  Arg 0 is k, arg 1 the lowest gate bit position
+// (0 = bit 0, where the AVX2 tier folds gate bits into the lanes; 1 = the
+// middle of the register; 2 = the top k bits, one group spanning the
+// whole state), arg 2 the dispatch level as above.  The gate bits are
+// contiguous from that lowest position, on n = 20.
+void BM_DenseK(benchmark::State& state) {
+  const int n = 20;
+  const int k = static_cast<int>(state.range(0));
+  const int lowest = state.range(1) == 0   ? 0
+                     : state.range(1) == 1 ? (n - k) / 2
+                                           : n - k;
+  const auto previous = qclab::sim::setSimdLevel(
+      state.range(2) ? qclab::sim::detectedSimdLevel()
+                     : qclab::sim::SimdLevel::kScalar);
+  auto psi = makeState(n);
+  std::vector<int> qubits;
+  for (int i = k - 1; i >= 0; --i) {
+    qubits.push_back(qclab::util::bitPosition(lowest + i, n));
+  }
+  const auto u =
+      qclab::algorithms::qft<T>(k).matrix();  // dense, every entry nonzero
+  for (auto _ : state) {
+    qclab::sim::applyK(psi, n, qubits, u);
+    benchmark::DoNotOptimize(psi.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(psi.size()) * sizeof(C));
+  state.SetLabel(std::string(qclab::sim::simdLevelName(
+                     qclab::sim::activeSimdLevel())) +
+                 " lowest bit " + std::to_string(lowest));
+  qclab::sim::setSimdLevel(previous);
+}
+BENCHMARK(BM_DenseK)->ArgsProduct({{3, 4, 5}, {0, 1, 2}, {0, 1}});
 
 void BM_MeasureProbability(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -129,15 +129,10 @@ class KernelBackend final : public Backend<T> {
       }
       case KernelPath::kDenseK:
       default: {
-        // General k-qubit gate; the k = 2 hot path has a specialized
-        // quad-run kernel that avoids applyK's gather/scatter.
+        // General k-qubit gate: applyK picks the kernel by width.
         std::vector<int> qubits = gate.qubits();
         for (int& q : qubits) q += offset;
-        if (qubits.size() == 2) {
-          apply2(state, nbQubits, qubits[0], qubits[1], gate.matrix());
-        } else {
-          applyK(state, nbQubits, qubits, gate.matrix());
-        }
+        applyK(state, nbQubits, qubits, gate.matrix());
         return;
       }
     }

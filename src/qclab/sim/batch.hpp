@@ -217,6 +217,10 @@ class BatchedSimulation {
         local = std::make_unique<Worker>(prototype_, options_, master_.get());
         worker = local.get();
       }
+      // Every clone must finish copying the master's plans before thread 0
+      // starts rebinding them (rebindFusionPlan moves each block's recipe
+      // out and back; a copy taken mid-rebind loses it).
+#pragma omp barrier
 #endif
       std::vector<std::complex<T>> buffer;  // per-thread pooled state
 #ifdef QCLAB_HAS_OPENMP

@@ -30,6 +30,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
@@ -174,17 +175,18 @@ enum class ChunkKernel { kDiagonal1, kDense1, kDense2, kDiagonalK, kDenseK };
 template <typename T>
 struct CompiledBlock {
   ChunkKernel kernel = ChunkKernel::kDenseK;
-  std::vector<int> positions;   ///< kernel-specific order (see compile)
+  std::vector<int> positions;   ///< MSB-first (all but kDenseK)
   std::complex<T> u2[4] = {};   ///< kDense1: row-major 2x2
   std::complex<T> u4[16] = {};  ///< kDense2: row-major 4x4, MSB-first
   std::vector<std::complex<T>> diagonal;  ///< kDiagonal1 / kDiagonalK
-  dense::Matrix<T> matrix;                ///< kDenseK
-  std::vector<util::index_t> offsets;     ///< kDenseK subspace offsets
+  /// kDenseK: the same lowered gate applyK builds per call.
+  std::unique_ptr<const simd::DenseKGate<T>> denseK;
 };
 
-/// Lowers one fused block to its chunk-local compiled form.
+/// Lowers one fused block to its chunk-local compiled form for `level`.
 template <typename T, typename Block>
-CompiledBlock<T> compileBlock(const Block& block, int nbQubits) {
+CompiledBlock<T> compileBlock(const Block& block, int nbQubits,
+                              SimdLevel level) {
   CompiledBlock<T> compiled;
   const int k = static_cast<int>(block.qubits.size());
   // MSB-first positions: qubits ascending => positions descending; this
@@ -224,21 +226,9 @@ CompiledBlock<T> compileBlock(const Block& block, int nbQubits) {
   }
 
   compiled.kernel = ChunkKernel::kDenseK;
-  compiled.matrix = block.matrix;
-  // Ascending positions for bit insertion, MSB-first offsets for rows —
-  // the same layout applyK uses, restricted to a chunk index.
-  compiled.positions.assign(msbFirst.rbegin(), msbFirst.rend());
-  compiled.offsets.assign(std::size_t{1} << k, 0);
-  for (util::index_t r = 0; r < compiled.offsets.size(); ++r) {
-    util::index_t offset = 0;
-    for (int i = 0; i < k; ++i) {
-      if (util::getBit(r, util::bitPosition(i, k))) {
-        offset =
-            util::setBit(offset, msbFirst[static_cast<std::size_t>(i)]);
-      }
-    }
-    compiled.offsets[r] = offset;
-  }
+  const std::vector<int> ascending(msbFirst.rbegin(), msbFirst.rend());
+  compiled.denseK = std::make_unique<const simd::DenseKGate<T>>(
+      block.matrix, ascending.data(), k, level);
   return compiled;
 }
 
@@ -247,8 +237,7 @@ CompiledBlock<T> compileBlock(const Block& block, int nbQubits) {
 template <typename T>
 void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
                         const std::vector<CompiledBlock<T>>& run,
-                        SimdLevel level,
-                        std::vector<std::complex<T>>& scratch) {
+                        SimdLevel level) {
   for (const auto& block : run) {
     switch (block.kernel) {
       case ChunkKernel::kDiagonal1:
@@ -268,8 +257,7 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
                                     block.diagonal, level);
         break;
       case ChunkKernel::kDenseK:
-        simd::applyKSpan(chunk, chunkDim, block.positions, block.offsets,
-                         block.matrix, scratch);
+        block.denseK->applySpan(chunk, chunkDim);
         break;
     }
   }
@@ -298,6 +286,7 @@ void applyBlockedRun(State& state, int nbQubits,
   using T = typename State::value_type::value_type;
   util::require(blockQubits >= 1 && blockQubits < nbQubits,
                 "applyBlockedRun: chunk size out of range");
+  const SimdLevel level = activeSimdLevel();
   std::vector<detail::CompiledBlock<T>> run;
   run.reserve(count);
   for (std::size_t i = first; i < first + count; ++i) {
@@ -305,10 +294,9 @@ void applyBlockedRun(State& state, int nbQubits,
     util::require(!block.qubits.empty() &&
                       block.qubits.front() >= nbQubits - blockQubits,
                   "applyBlockedRun: block escapes the chunk window");
-    run.push_back(detail::compileBlock<T>(block, nbQubits));
+    run.push_back(detail::compileBlock<T>(block, nbQubits, level));
   }
 
-  const SimdLevel level = activeSimdLevel();
   const std::int64_t chunkDim = std::int64_t{1} << blockQubits;
   const std::int64_t chunks = std::int64_t{1} << (nbQubits - blockQubits);
 
@@ -338,7 +326,6 @@ void applyBlockedRun(State& state, int nbQubits,
 #pragma omp parallel if (chunks > 1 && !omp_in_parallel())
 #endif
   {
-    std::vector<std::complex<T>> scratch;
     double threadNormSq = 0.0;
     double threadMaxAmpSq = 0.0;
     bool threadNanSeen = false;
@@ -374,7 +361,7 @@ void applyBlockedRun(State& state, int nbQubits,
         }
       }
       detail::applyCompiledChunk(state.data() + c * chunkDim, chunkDim, run,
-                                 level, scratch);
+                                 level);
       if (sentinelDue) {
         obs::sentinelAccumulateChunk(state.data() + c * chunkDim,
                                      static_cast<std::size_t>(chunkDim),

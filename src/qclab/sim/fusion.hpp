@@ -632,7 +632,7 @@ namespace detail {
 
 /// Applies one fused block with its own full-state sweep: diagonal blocks
 /// go through the run-structured diagonal sweep, dense blocks through
-/// apply1/apply2/applyK.
+/// applyK (apply1 / apply2 / the dense-k kernel by width).
 template <typename State, typename T>
 void applyFusedBlock(State& state, int nbQubits,
                      const FusedBlock<T>& block, std::uint64_t bytes) {
@@ -640,14 +640,6 @@ void applyFusedBlock(State& state, int nbQubits,
     const obs::PathTimer timer(KernelPath::kFusedDiagonalK);
     applyDiagonalBlock(state, nbQubits, block.qubits, block.diag);
     obs::metrics().countGate(KernelPath::kFusedDiagonalK, nullptr, bytes);
-  } else if (block.qubits.size() == 1) {
-    const obs::PathTimer timer(KernelPath::kFusedDenseK);
-    apply1(state, nbQubits, block.qubits.front(), block.matrix);
-    obs::metrics().countGate(KernelPath::kFusedDenseK, nullptr, bytes);
-  } else if (block.qubits.size() == 2) {
-    const obs::PathTimer timer(KernelPath::kFusedDenseK);
-    apply2(state, nbQubits, block.qubits[0], block.qubits[1], block.matrix);
-    obs::metrics().countGate(KernelPath::kFusedDenseK, nullptr, bytes);
   } else {
     const obs::PathTimer timer(KernelPath::kFusedDenseK);
     applyK(state, nbQubits, block.qubits, block.matrix);

@@ -26,7 +26,7 @@ enum class KernelPath : int {
   kTrajectory,           ///< noise engine: one full Monte Carlo trajectory
   kSimdDense1,           ///< SIMD tier: vectorized single-qubit dense apply
   kSimdDiagonal1,        ///< SIMD tier: vectorized single-qubit diagonal
-  kSimdDenseK,           ///< SIMD tier: vectorized two-qubit dense apply
+  kSimdDenseK,           ///< SIMD tier: vectorized 2..5-qubit dense apply
   kBlocked,              ///< cache-blocked executor: one streamed sweep
                          ///< applying a whole low-qubit gate run per chunk
   kBatch,                ///< batched engine: one parameter-rebound member

@@ -9,11 +9,11 @@
 /// loops are OpenMP-parallel; the paper's GPU backend is substituted by
 /// these CPU kernels (see DESIGN.md).
 ///
-/// The single- and two-qubit hot paths are tiled wrappers over the
-/// SIMD-dispatched span kernels of simd.hpp: for a target at bit position
-/// `pos` the partner amplitudes form unit-stride runs of 2^pos, so each
-/// OpenMP task hands whole runs (or kTile-sized slices of long runs) to
-/// apply1Runs / scaleRun / apply2Runs, which use AVX2+FMA when active.
+/// The dense hot paths are tiled wrappers over the SIMD-dispatched span
+/// kernels of simd.hpp: for a target at bit position `pos` the partner
+/// amplitudes form unit-stride runs of 2^pos, so each OpenMP task hands
+/// whole runs (or kRunTile-sized slices of long runs) to apply1Runs /
+/// scaleRun / apply2Runs / DenseKGate, which use AVX2+FMA when active.
 
 #include <algorithm>
 #include <array>
@@ -171,8 +171,8 @@ void applyDiagonal1(State& state, int nbQubits,
 
 /// Applies a 4x4 gate to the ascending pair (qubit0, qubit1), in place.
 /// `u` is MSB-first over (qubit0, qubit1), like every gate matrix.  The
-/// four partner runs of each subspace are unit-stride (length 2^posLo),
-/// so this avoids the gather/scatter of applyK for the k = 2 hot path.
+/// four partner runs of each subspace are unit-stride (length 2^posLo);
+/// applyK routes every k = 2 gate here.
 template <typename State, typename T>
 void apply2(State& state, int nbQubits, int qubit0,
             int qubit1, const dense::Matrix<T>& u) {
@@ -317,74 +317,55 @@ void applySwap(State& state, int nbQubits, int qubit0,
 }
 
 /// Applies a general k-qubit gate on the (ascending, MSB-first) `qubits`
-/// list, in place, via gather / dense multiply / scatter per subspace.
+/// list, in place.  k = 1 and 2 take apply1 / apply2; wider gates run the
+/// dense-k span kernel (simd::DenseKGate, built on the stack: no heap
+/// allocation up to kMaxDenseK) as an OpenMP driver over slot ranges of
+/// about kRunTile amplitudes.  Blocked chunks call the same kernel, so
+/// plain and blocked sweeps are bit-identical by construction, and the
+/// ranges split long runs, so a gate on the top qubits — one group
+/// spanning the whole state — runs parallel too.
 template <typename State, typename T>
 void applyK(State& state, int nbQubits,
             const std::vector<int>& qubits, const dense::Matrix<T>& u) {
   const int k = static_cast<int>(qubits.size());
   util::require(k >= 1 && k <= nbQubits, "gate qubit count out of range");
-  const std::size_t dim = std::size_t{1} << k;
-  util::require(u.rows() == dim && u.cols() == dim,
+  const std::size_t gateDim = std::size_t{1} << k;
+  util::require(u.rows() == gateDim && u.cols() == gateDim,
                 "applyK matrix dimension mismatch");
-
-  // Gate-bit positions, ascending (for insertion), and the offset of each
-  // gate-subspace index r (MSB-first over `qubits`).
-  std::vector<int> positions(k);
   for (int i = 0; i < k; ++i) {
-    util::checkQubit(qubits[i], nbQubits);
+    util::checkQubit(qubits[static_cast<std::size_t>(i)], nbQubits);
     if (i > 0) {
-      util::require(qubits[i] > qubits[i - 1],
+      util::require(qubits[static_cast<std::size_t>(i)] >
+                        qubits[static_cast<std::size_t>(i - 1)],
                     "applyK qubits must be strictly ascending");
     }
-    positions[i] = util::bitPosition(qubits[i], nbQubits);
   }
-  std::sort(positions.begin(), positions.end());
-
-  std::vector<util::index_t> offsets(dim, 0);
-  for (util::index_t r = 0; r < dim; ++r) {
-    util::index_t offset = 0;
-    for (int i = 0; i < k; ++i) {
-      if (util::getBit(r, util::bitPosition(i, k))) {
-        offset = util::setBit(offset, util::bitPosition(qubits[i], nbQubits));
-      }
-    }
-    offsets[r] = offset;
+  if (k == 1) {
+    apply1(state, nbQubits, qubits[0], u);
+    return;
   }
-
-  const std::int64_t count = std::int64_t{1} << (nbQubits - k);
-  // Restrict views keep the matrix and gather-buffer loads from being
-  // treated as aliasing the state scatter (all complex<T>); without them
-  // the compiler reloads u per element (see DESIGN.md, SIMD tier).
-  std::complex<T>* __restrict__ psi = state.data();
-  const std::complex<T>* __restrict__ mat = u.data();
-  const util::index_t* __restrict__ off = offsets.data();
+  if (k == 2) {
+    apply2(state, nbQubits, qubits[0], qubits[1], u);
+    return;
+  }
+  // Ascending bit positions: the last qubit holds the lowest bit.
+  std::array<int, 64> positions;
+  for (int i = 0; i < k; ++i) {
+    positions[static_cast<std::size_t>(i)] = util::bitPosition(
+        qubits[static_cast<std::size_t>(k - 1 - i)], nbQubits);
+  }
+  const simd::DenseKGate<T> gate(u, positions.data(), k, activeSimdLevel());
+  const std::int64_t dim = std::int64_t{1} << nbQubits;
+  const std::int64_t slots = dim >> gate.slotBits();
+  const std::int64_t tile =
+      std::max<std::int64_t>(1, kRunTile >> gate.slotBits());
+  const std::int64_t tasks = (slots + tile - 1) / tile;
+  std::complex<T>* const data = state.data();
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel if (count >= kOmpThreshold)
+#pragma omp parallel for schedule(static) if ((dim >> k) >= kOmpThreshold)
 #endif
-  {
-    std::vector<std::complex<T>> scratch(dim);
-    std::complex<T>* __restrict__ gathered = scratch.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t outer = 0; outer < count; ++outer) {
-      util::index_t base = static_cast<util::index_t>(outer);
-      for (int pos : positions) base = util::insertZeroBit(base, pos);
-      for (util::index_t r = 0; r < dim; ++r) {
-        gathered[r] = psi[base | off[r]];
-      }
-      for (util::index_t r = 0; r < dim; ++r) {
-        T sumr(0), sumi(0);
-        for (util::index_t c = 0; c < dim; ++c) {
-          const std::complex<T> m = mat[r * dim + c];
-          sumr += m.real() * gathered[c].real() -
-                  m.imag() * gathered[c].imag();
-          sumi += m.real() * gathered[c].imag() +
-                  m.imag() * gathered[c].real();
-        }
-        psi[base | off[r]] = std::complex<T>(sumr, sumi);
-      }
-    }
+  for (std::int64_t t = 0; t < tasks; ++t) {
+    gate.apply(data, t * tile, std::min(slots, (t + 1) * tile));
   }
 }
 

@@ -33,14 +33,21 @@
 ///   apply1Span      | avx2::apply1Runs           | portable pairs
 ///   applyDiag1Span  | avx2::scaleRun             | portable scale
 ///   apply2Span      | avx2::apply2Runs           | portable quads
-///   applyKSpan      | (scalar gather/scatter — no vector tier yet)
-///   applyDiagKSpan  | (scalar — bit-gather row indexing)
+///   DenseKGate      | avx2::applyDenseKSlots     | portable slots
+///   (k = 3..5)      | (any positions: bits below |
+///                   |  W fold into the lanes)    |
+///   DenseKGate k>5  | portable slots             | portable slots
+///   applyDiagonal-  | avx2::scaleRun per run     | per-amplitude
+///   RunsSpan        | (runs >= 4 amplitudes)     | delta walk
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
@@ -144,19 +151,30 @@ inline bool simdActive() noexcept {
   return activeSimdLevel() != SimdLevel::kScalar;
 }
 
+namespace simd {
+
+/// Widest gate with a vector dense-k kernel and inline coefficient
+/// tables; wider gates run the scalar tier of the same loop nest.
+inline constexpr int kMaxDenseK = 5;
+
+}  // namespace simd
+
 /// The kernel path a gate application should be COUNTED under when the
 /// SIMD tier is active: the dispatch rules (classifyKernelPath) are
 /// unchanged — the same fast path is selected — but the obs layer
 /// attributes the application to the vectorized variant so reports show
-/// which tier did the work.  `gateQubits` disambiguates kDenseK (only the
-/// two-qubit case has a vectorized quad-run kernel).
+/// which tier did the work.  `gateQubits` disambiguates kDenseK: the
+/// quad-run kernel (k = 2) and the dense-k kernel (k = 3..kMaxDenseK) are
+/// vectorized at every position, wider gates stay scalar.
 inline KernelPath simdCountedPath(KernelPath path, int gateQubits) noexcept {
   if (!simdActive()) return path;
   switch (path) {
     case KernelPath::kDense1:    return KernelPath::kSimdDense1;
     case KernelPath::kDiagonal1: return KernelPath::kSimdDiagonal1;
     case KernelPath::kDenseK:
-      return gateQubits == 2 ? KernelPath::kSimdDenseK : path;
+      return gateQubits >= 2 && gateQubits <= simd::kMaxDenseK
+                 ? KernelPath::kSimdDenseK
+                 : path;
     default:                     return path;
   }
 }
@@ -406,71 +424,217 @@ void apply2Span(std::complex<T>* state, std::int64_t dim, int posHi,
   }
 }
 
-/// General k-qubit dense gate over `dim` amplitudes via gather / dense
-/// multiply / scatter.  `positions` are the ascending gate bit positions
-/// within a span index, `offsets` the 2^k subspace offsets (MSB-first
-/// row order), `scratch` a caller-provided gather buffer.
-template <typename T>
-void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
-                const std::vector<int>& positions,
-                const std::vector<util::index_t>& offsets,
-                const dense::Matrix<T>& u,
-                std::vector<std::complex<T>>& scratch) {
-  const std::size_t gateDim = offsets.size();
-  scratch.resize(gateDim);
-  // Raw restrict views: matrix/scratch loads must not be treated as
-  // aliasing the state scatter (all three are complex<T>).
-  const std::complex<T>* __restrict__ mat = u.data();
-  std::complex<T>* __restrict__ gathered = scratch.data();
-  const util::index_t* __restrict__ off = offsets.data();
-  const std::int64_t count =
-      dim >> static_cast<std::int64_t>(positions.size());
-  for (std::int64_t outer = 0; outer < count; ++outer) {
-    util::index_t base = static_cast<util::index_t>(outer);
-    for (int pos : positions) base = util::insertZeroBit(base, pos);
-    for (util::index_t r = 0; r < gateDim; ++r) {
-      gathered[r] = state[base | off[r]];
+/// Portable tier of the dense k-qubit kernel: the slot walk of
+/// avx2::applyDenseKSlots with one amplitude per slot, in split re/im
+/// arithmetic over the hoisted re/im tables (re at [r * D + c], im at
+/// D * D + [r * D + c]).  K = 0 takes the gate width at run time (gates
+/// wider than kMaxDenseK).
+template <typename T, int K>
+void applyDenseKSlotsScalar(std::complex<T>* state, std::int64_t first,
+                            std::int64_t last, int k, const int* positions,
+                            const std::int64_t* offsets, const T* coef) {
+  const int width = K > 0 ? K : k;
+  const int rows = 1 << width;
+  constexpr int kInline = K > 0 ? 1 << K : 1;
+  T inlineRe[kInline], inlineIm[kInline];
+  std::vector<T> wide(K > 0 ? 0 : 2 * static_cast<std::size_t>(rows));
+  T* const xr = K > 0 ? inlineRe : wide.data();
+  T* const xi = K > 0 ? inlineIm : wide.data() + rows;
+  const T* __restrict__ mr = coef;
+  const T* __restrict__ mi = coef + rows * rows;
+  const std::int64_t runMask = (std::int64_t{1} << positions[0]) - 1;
+  for (std::int64_t o = first; o < last;) {
+    util::index_t base = static_cast<util::index_t>(o);
+    for (int i = 0; i < width; ++i) {
+      base = util::insertZeroBit(base, positions[i]);
     }
-    for (util::index_t r = 0; r < gateDim; ++r) {
-      T sumr(0), sumi(0);
-      for (util::index_t c = 0; c < gateDim; ++c) {
-        const std::complex<T> m = mat[r * gateDim + c];
-        sumr += m.real() * gathered[c].real() - m.imag() * gathered[c].imag();
-        sumi += m.real() * gathered[c].imag() + m.imag() * gathered[c].real();
+    const std::int64_t runEnd = std::min(last, (o | runMask) + 1);
+    for (std::complex<T>* slot = state + base; o < runEnd; ++o, ++slot) {
+      for (int c = 0; c < rows; ++c) {
+        xr[c] = slot[offsets[c]].real();
+        xi[c] = slot[offsets[c]].imag();
       }
-      state[base | off[r]] = std::complex<T>(sumr, sumi);
+      for (int r = 0; r < rows; ++r) {
+        T re(0), im(0);
+        for (int c = 0; c < rows; ++c) {
+          re += mr[r * rows + c] * xr[c] - mi[r * rows + c] * xi[c];
+          im += mr[r * rows + c] * xi[c] + mi[r * rows + c] * xr[c];
+        }
+        slot[offsets[r]] = std::complex<T>(re, im);
+      }
     }
   }
 }
 
-/// Diagonal k-qubit gate over `dim` amplitudes.  `positions` are the
-/// MSB-first gate bit positions within a span index.
+/// A dense k-qubit gate (k >= 3) lowered once for the dense-k span
+/// kernel.  The lowering depends only on the gate width, its bit
+/// positions and the SIMD level — never on the length of the span it
+/// later runs on — so full-state, tiled and chunked sweeps share one
+/// arithmetic per amplitude and stay bit-identical by construction.
+///
+/// For ascending gate bit positions p_0 < ... < p_{k-1} (row bit j of the
+/// matrix is the state bit at p_j), a span splits into SLOTS: on the AVX2
+/// tier the gate bits below the register width fold into the lanes and
+/// the remaining "high" bits index 2^{k_high} unit-stride runs, one slot
+/// being a register-wide column across those runs; on the scalar tier a
+/// slot is one amplitude of each of the 2^k runs.  Slots are numbered so
+/// that consecutive slots within a run are adjacent in memory, and the
+/// walk recomputes the slot address once per run.
+///
+/// The coefficient table is split into re/im (and, for folded lanes,
+/// pre-broadcast per lane) here: once per applyK call, once per blocked
+/// run.  Up to kMaxDenseK it lives inline, so a stack-built gate costs no
+/// heap allocation.
 template <typename T>
-void applyDiagonalKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
-                        const std::vector<int>& positions,
-                        const std::vector<std::complex<T>>& diagonal) {
-  const int k = static_cast<int>(positions.size());
-  // Restrict views: a plain diagonal[row] load aliases the state store
-  // (same complex type) and costs a reload per amplitude (~5x).
-  const int* __restrict__ pos = positions.data();
-  const std::complex<T>* __restrict__ diag = diagonal.data();
-  for (std::int64_t i = 0; i < dim; ++i) {
-    util::index_t row = 0;
-    for (int b = 0; b < k; ++b) {
-      row = (row << 1) |
-            util::getBit(static_cast<util::index_t>(i), pos[b]);
+class DenseKGate {
+ public:
+  /// Lowers `u` (2^k x 2^k) acting on `positions[0..k)`, ascending.
+  DenseKGate(const dense::Matrix<T>& u, const int* positions, int k,
+             SimdLevel level)
+      : k_(k) {
+    util::require(k >= 3 && k < 64, "DenseKGate: gate width out of range");
+    const std::size_t rowsK = std::size_t{1} << k;
+    util::require(u.rows() == rowsK && u.cols() == rowsK,
+                  "DenseKGate: matrix dimension mismatch");
+    std::copy(positions, positions + k, positions_);
+    kernel_ = scalarKernel(k);
+#ifdef QCLAB_SIMD_X86
+    if (level == SimdLevel::kAvx2 && k <= kMaxDenseK) {
+      laneBits_ = kVectorLanes<T> == 2 ? 1 : 2;
+      while (folded_ < k && positions_[folded_] < laneBits_) {
+        laneMask_ |= 1 << positions_[folded_++];
+      }
+      kernel_ = kVectorKernels[static_cast<std::size_t>(k - 3)]
+                              [static_cast<std::size_t>(laneMask_)];
     }
-    const std::complex<T> d = diag[row];
-    const T xr = state[i].real(), xi = state[i].imag();
-    state[i] = std::complex<T>(d.real() * xr - d.imag() * xi,
-                               d.real() * xi + d.imag() * xr);
+#else
+    (void)level;
+#endif
+    const int high = k - folded_;
+    const std::int64_t rows = std::int64_t{1} << high;
+    std::int64_t* off = offsets_;
+    T* coef = coef_;
+    if (k > kMaxDenseK) {
+      wideOffsets_.resize(static_cast<std::size_t>(rows));
+      wideCoef_.resize(2 * rowsK * rowsK);
+      off = wideOffsets_.data();
+      coef = wideCoef_.data();
+    }
+    for (std::int64_t c = 0; c < rows; ++c) {
+      std::int64_t offset = 0;
+      for (int i = 0; i < high; ++i) {
+        if ((c >> i) & 1) offset |= std::int64_t{1} << positions_[folded_ + i];
+      }
+      off[c] = offset;
+    }
+    if (folded_ == 0) {
+      for (std::size_t r = 0; r < rowsK; ++r) {
+        for (std::size_t c = 0; c < rowsK; ++c) {
+          coef[r * rowsK + c] = u(r, c).real();
+          coef[rowsK * rowsK + r * rowsK + c] = u(r, c).imag();
+        }
+      }
+      return;
+    }
+    // Folded lanes: per (high row, high column, lane flip f) one re and
+    // one im register whose lane l holds the element pairing output lane
+    // l with input lane l ^ deposit(f) — the low row/column bits are the
+    // lane's folded gate bits.
+    constexpr int kLanes = static_cast<int>(kVectorLanes<T>);
+    const int flips = 1 << folded_;
+    const auto lowBits = [&](int lane) {
+      int bits = 0;
+      for (int i = 0; i < folded_; ++i) {
+        bits |= ((lane >> positions_[i]) & 1) << i;
+      }
+      return bits;
+    };
+    T* e = coef;
+    for (std::int64_t rh = 0; rh < rows; ++rh) {
+      for (std::int64_t ch = 0; ch < rows; ++ch) {
+        for (int f = 0; f < flips; ++f, e += 4 * kLanes) {
+          for (int lane = 0; lane < kLanes; ++lane) {
+            const int low = lowBits(lane);
+            const std::complex<T> m =
+                u(static_cast<std::size_t>((rh << folded_) | low),
+                  static_cast<std::size_t>((ch << folded_) | (low ^ f)));
+            e[2 * lane] = e[2 * lane + 1] = m.real();
+            e[2 * kLanes + 2 * lane] = e[2 * kLanes + 2 * lane + 1] = m.imag();
+          }
+        }
+      }
+    }
   }
-}
+
+  /// Amplitudes per slot, as a power of two.
+  int slotBits() const noexcept { return laneBits_ + k_ - folded_; }
+
+  /// Applies the gate to slots [first, last) of `state`, a span of whole
+  /// 2^{p_{k-1}+1}-amplitude groups.
+  void apply(std::complex<T>* state, std::int64_t first,
+             std::int64_t last) const {
+    const bool wide = k_ > kMaxDenseK;
+    kernel_(state, first, last, k_, positions_,
+            wide ? wideOffsets_.data() : offsets_,
+            wide ? wideCoef_.data() : coef_);
+  }
+
+  /// Applies the gate to a whole span of `dim` amplitudes.
+  void applySpan(std::complex<T>* state, std::int64_t dim) const {
+    apply(state, 0, dim >> slotBits());
+  }
+
+ private:
+  using Kernel = void (*)(std::complex<T>*, std::int64_t, std::int64_t, int,
+                          const int*, const std::int64_t*, const T*);
+
+  /// Table capacity for k <= kMaxDenseK: the folded layout with one
+  /// folded bit is the largest (2^{2k-1} entries of 4 lanes-wide rows).
+  static constexpr std::size_t kCoefCapacity =
+      (std::size_t{1} << (2 * kMaxDenseK - 1)) * 4 * kVectorLanes<T>;
+
+  static Kernel scalarKernel(int k) noexcept {
+    switch (k) {
+      case 3: return &applyDenseKSlotsScalar<T, 3>;
+      case 4: return &applyDenseKSlotsScalar<T, 4>;
+      case 5: return &applyDenseKSlotsScalar<T, 5>;
+      default: return &applyDenseKSlotsScalar<T, 0>;
+    }
+  }
+
+#ifdef QCLAB_SIMD_X86
+  /// avx2::applyDenseKSlots by [k - 3][lane mask]; the lane masks of a
+  /// register with W complex lanes are 0..W-1.
+  template <int K, int... Masks>
+  static constexpr std::array<Kernel, sizeof...(Masks)> vectorKernels(
+      std::integer_sequence<int, Masks...>) noexcept {
+    return {&avx2::applyDenseKSlots<T, K, Masks>...};
+  }
+  static constexpr auto kLaneMasks =
+      std::make_integer_sequence<int, static_cast<int>(kVectorLanes<T>)>{};
+  static constexpr std::array<
+      std::array<Kernel, static_cast<std::size_t>(kVectorLanes<T>)>, 3>
+      kVectorKernels = {vectorKernels<3>(kLaneMasks),
+                        vectorKernels<4>(kLaneMasks),
+                        vectorKernels<5>(kLaneMasks)};
+#endif
+
+  int k_;
+  int laneBits_ = 0;  ///< log2 complex lanes per slot (0: scalar tier)
+  int folded_ = 0;    ///< gate bits folded into the lanes
+  int laneMask_ = 0;  ///< their lane-index bits
+  Kernel kernel_;
+  int positions_[64];
+  std::int64_t offsets_[std::size_t{1} << kMaxDenseK];
+  alignas(32) T coef_[kCoefCapacity];
+  std::vector<std::int64_t> wideOffsets_;  ///< k > kMaxDenseK
+  std::vector<T> wideCoef_;                ///< k > kMaxDenseK
+};
 
 /// Run-structured diagonal k-qubit gate over `dim` amplitudes: the row
 /// index is constant over every unit-stride run of 2^minPos amplitudes
-/// (minPos = the lowest gate bit position), so instead of the per-amplitude
-/// bit-gather of applyDiagonalKSpan the table row is computed once per run
+/// (minPos = the lowest gate bit position), so instead of a per-amplitude
+/// bit-gather of the row index the table row is computed once per run
 /// and the run is scaled through the dispatched scaleRun kernel.  Row
 /// indices walk by XOR deltas: bit-gathering distributes over XOR and a
 /// sequential counter flips exactly its ctz+1 low bits per increment, so

@@ -165,6 +165,42 @@ TEST(BatchReentrancy, EightThreadsShareOneShapePlan) {
   EXPECT_TRUE(bitIdentical(results[17].branches().front().state, reference));
 }
 
+TEST(BatchReentrancy, WorkerClonesFinishBeforeTheMasterRebinds) {
+  // Worker threads copy the master's fusion plans while thread 0 rebinds
+  // them in place; a copy taken mid-rebind would lose a block's recipe
+  // and throw inside the OpenMP region (process abort).  Repeated
+  // 4-thread runs of a many-block plan keep reopening that window; under
+  // TSan any overlap of the copy and the rebind is a reported race.
+  random::Rng rng(2024);
+  const int n = 8;
+  QCircuit<double> circuit(n);
+  test::addRandomGates(circuit, 160, rng);
+
+  sim::BatchOptions options;
+  options.nbThreads = 4;
+  sim::BatchOptions serial = options;
+  serial.nbThreads = 1;
+  std::vector<std::vector<double>> parameterSets(4);
+  {
+    sim::BatchedSimulation<double> probe(circuit);
+    for (auto& values : parameterSets) {
+      values.resize(probe.nbParameters());
+      for (auto& value : values) value = rng.uniform(-3.0, 3.0);
+    }
+  }
+  const auto reference =
+      sim::BatchedSimulation<double>(circuit, serial).run(parameterSets);
+  for (int round = 0; round < 40; ++round) {
+    const auto results = circuit.simulateBatch(parameterSets, options);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t m = 0; m < results.size(); ++m) {
+      EXPECT_TRUE(bitIdentical(results[m].branches().front().state,
+                               reference[m].branches().front().state))
+          << "round " << round << ", member " << m;
+    }
+  }
+}
+
 // ---- prefix cache ------------------------------------------------------
 
 TEST(BatchPrefix, LeadingParameterFreeLayerIsCached) {

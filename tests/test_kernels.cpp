@@ -174,6 +174,25 @@ TEST(Kernels, ApplyKThreeQubitsNonContiguous) {
   qclab::test::expectStateNear(state, expected);
 }
 
+TEST(Kernels, ApplyKWideGatesMatchEmbeddedMatrix) {
+  // Gates wider than kMaxDenseK run the runtime-width scalar tier of the
+  // dense-k kernel; one-qubit gates route through apply1.
+  const int n = 7;
+  random::Rng rng(12);
+  const std::vector<std::vector<int>> qubitSets = {
+      {0, 1, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 6}, {0, 2, 3, 4, 5, 6},
+      {0, 1, 2, 3, 4, 5, 6}, {3}};
+  for (const auto& qubits : qubitSets) {
+    const int k = static_cast<int>(qubits.size());
+    const auto gateMatrix =
+        qclab::test::randomCircuit<double>(k, 4 * k, 200u + k).matrix();
+    auto state = qclab::test::randomState<double>(n, rng);
+    const auto expected = embedDense(n, qubits, gateMatrix).apply(state);
+    applyK(state, n, qubits, gateMatrix);
+    qclab::test::expectStateNear(state, expected);
+  }
+}
+
 TEST(Kernels, ApplyKValidation) {
   std::vector<C> state(8);
   EXPECT_THROW(applyK(state, 3, {1, 0}, M::identity(4)),

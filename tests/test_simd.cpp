@@ -8,7 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 #include <vector>
+
+#ifdef QCLAB_HAS_OPENMP
+#include <omp.h>
+#endif
 
 #include "qclab/qclab.hpp"
 #include "test_helpers.hpp"
@@ -85,8 +90,15 @@ TEST(SimdLevel, CountedPathMapsOnlyVectorizedPaths) {
             KernelPath::kSimdDiagonal1);
   EXPECT_EQ(qclab::sim::simdCountedPath(KernelPath::kDenseK, 2),
             KernelPath::kSimdDenseK);
-  // Paths without a vectorized variant are never remapped.
+  // The dense-k kernel is vectorized for k = 3..kMaxDenseK.
   EXPECT_EQ(qclab::sim::simdCountedPath(KernelPath::kDenseK, 3),
+            KernelPath::kSimdDenseK);
+  EXPECT_EQ(qclab::sim::simdCountedPath(KernelPath::kDenseK,
+                                        qclab::sim::simd::kMaxDenseK),
+            KernelPath::kSimdDenseK);
+  // Paths without a vectorized variant are never remapped.
+  EXPECT_EQ(qclab::sim::simdCountedPath(KernelPath::kDenseK,
+                                        qclab::sim::simd::kMaxDenseK + 1),
             KernelPath::kDenseK);
   EXPECT_EQ(qclab::sim::simdCountedPath(KernelPath::kControlled1, 1),
             KernelPath::kControlled1);
@@ -202,6 +214,170 @@ TYPED_TEST(SimdDifferential, RandomCircuitsAgreeAcrossLevels) {
     qclab::test::expectStateNear(scalar, vector,
                                  T(8) * qclab::test::tol<T>());
   }
+}
+
+// ---- dense k-qubit kernel ----------------------------------------------
+
+namespace {
+
+/// The gather / dense-multiply / scatter loop the dense-k span kernel
+/// replaced, kept here as an independent reference.
+template <typename T>
+std::vector<std::complex<T>> gatherApplyK(std::vector<std::complex<T>> state,
+                                          int n,
+                                          const std::vector<int>& qubits,
+                                          const qclab::dense::Matrix<T>& u) {
+  using qclab::util::index_t;
+  const int k = static_cast<int>(qubits.size());
+  const std::size_t rows = std::size_t{1} << k;
+  std::vector<index_t> offsets(rows, 0);
+  for (index_t r = 0; r < rows; ++r) {
+    for (int i = 0; i < k; ++i) {
+      if ((r >> (k - 1 - i)) & 1) {
+        offsets[r] |= index_t{1} << qclab::util::bitPosition(
+                          qubits[static_cast<std::size_t>(i)], n);
+      }
+    }
+  }
+  std::vector<std::complex<T>> gathered(rows);
+  for (index_t i = 0; i < state.size(); ++i) {
+    if ((i & offsets[rows - 1]) != 0) continue;  // not a subspace base
+    for (std::size_t r = 0; r < rows; ++r) gathered[r] = state[i | offsets[r]];
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::complex<T> sum(0);
+      for (std::size_t c = 0; c < rows; ++c) sum += u(r, c) * gathered[c];
+      state[i | offsets[r]] = sum;
+    }
+  }
+  return state;
+}
+
+/// Every ascending k-subset of the qubits 0..n-1.
+std::vector<std::vector<int>> ascendingSubsets(int n, int k) {
+  std::vector<std::vector<int>> subsets;
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    if (__builtin_popcount(mask) != k) continue;
+    std::vector<int> qubits;
+    for (int q = 0; q < n; ++q) {
+      if ((mask >> q) & 1) qubits.push_back(q);
+    }
+    subsets.push_back(std::move(qubits));
+  }
+  return subsets;
+}
+
+template <typename T>
+std::vector<std::complex<T>> applyKAt(SimdLevel level,
+                                      std::vector<std::complex<T>> state,
+                                      int n, const std::vector<int>& qubits,
+                                      const qclab::dense::Matrix<T>& u) {
+  const ScopedSimdLevel scoped(level);
+  qclab::sim::applyK(state, n, qubits, u);
+  return state;
+}
+
+template <typename T>
+bool bitIdentical(const std::vector<std::complex<T>>& a,
+                  const std::vector<std::complex<T>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+std::vector<SimdLevel> availableLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (avx2Available()) levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+}  // namespace
+
+TYPED_TEST(SimdDifferential, DenseKAgreesWithGatherOnEveryQubitSet) {
+  using T = TypeParam;
+  // n = 7 covers gate bits at positions 0 and 1 (folded into the lanes on
+  // the AVX2 tier) as well as long runs, for every k = 3..5 subset.
+  const int n = 7;
+  qclab::random::Rng rng(31);
+  const auto reference = qclab::test::randomState<T>(n, rng);
+  for (int k = 3; k <= 5; ++k) {
+    const auto u = qclab::test::randomCircuit<T>(k, 6 * k, 40u + k).matrix();
+    for (const auto& qubits : ascendingSubsets(n, k)) {
+      const auto expected = gatherApplyK(reference, n, qubits, u);
+      const auto scalar =
+          applyKAt(SimdLevel::kScalar, reference, n, qubits, u);
+      qclab::test::expectStateNear(scalar, expected);
+      if (!avx2Available()) continue;
+      const auto vector = applyKAt(SimdLevel::kAvx2, reference, n, qubits, u);
+      qclab::test::expectStateNear(vector, expected);
+      qclab::test::expectStateNear(vector, scalar);
+    }
+  }
+}
+
+TYPED_TEST(SimdDifferential, DenseKBlockedChunksAreBitIdenticalToApplyK) {
+  using T = TypeParam;
+  const int n = 7;
+  qclab::random::Rng rng(32);
+  const auto reference = qclab::test::randomState<T>(n, rng);
+  for (const SimdLevel level : availableLevels()) {
+    for (int k = 3; k <= 5; ++k) {
+      qclab::sim::FusedBlock<T> block;
+      block.matrix =
+          qclab::test::randomCircuit<T>(k, 6 * k, 50u + k).matrix();
+      for (const auto& qubits : ascendingSubsets(n, k)) {
+        block.qubits = qubits;
+        const std::vector<qclab::sim::FusedBlock<T>> blocks = {block};
+        const auto full = applyKAt(level, reference, n, qubits, block.matrix);
+        // Every chunk size whose window holds the gate.
+        for (int b = n - qubits.front(); b < n; ++b) {
+          auto chunked = reference;
+          const ScopedSimdLevel scoped(level);
+          qclab::sim::applyBlockedRun(chunked, n, blocks, 0, 1, b);
+          EXPECT_TRUE(bitIdentical(full, chunked))
+              << qclab::sim::simdLevelName(level) << " k=" << k
+              << " first qubit " << qubits.front() << " blockQubits=" << b;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(SimdDifferential, DenseKIsThreadCountInvariant) {
+  using T = TypeParam;
+#ifndef QCLAB_HAS_OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  qclab::random::Rng rng(33);
+  const int previousThreads = omp_get_max_threads();
+  for (const SimdLevel level : availableLevels()) {
+    for (int k = 3; k <= 5; ++k) {
+      // The smallest state that puts this k on the OpenMP path.
+      const int n = k + 12;
+      const auto reference = qclab::test::randomState<T>(n, rng);
+      const auto u = qclab::test::randomCircuit<T>(k, 6 * k, 60u + k).matrix();
+      std::vector<std::vector<int>> sets;
+      std::vector<int> top, bottom;
+      for (int i = 0; i < k; ++i) {
+        top.push_back(i);  // single group: one run spans the state
+        bottom.push_back(n - k + i);  // bit positions 0..k-1
+      }
+      sets.push_back(top);
+      sets.push_back(bottom);
+      std::vector<int> spread = {1, 6, 11, n - 2, n - 1};
+      spread.resize(static_cast<std::size_t>(k));
+      sets.push_back(spread);
+      for (const auto& qubits : sets) {
+        omp_set_num_threads(1);
+        const auto one = applyKAt(level, reference, n, qubits, u);
+        omp_set_num_threads(4);
+        const auto four = applyKAt(level, reference, n, qubits, u);
+        EXPECT_TRUE(bitIdentical(one, four))
+            << qclab::sim::simdLevelName(level) << " k=" << k
+            << " first qubit " << qubits.front();
+      }
+    }
+  }
+  omp_set_num_threads(previousThreads);
+#endif
 }
 
 // ---- fixed-capacity controlled-kernel buffer --------------------------
