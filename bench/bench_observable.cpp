@@ -2,6 +2,11 @@
 /// \brief Experiment P8 (extension): cost of Pauli-observable expectation
 /// values as a function of register size and term count — the primitive of
 /// variational-algorithm prototyping on top of the simulator.
+///
+/// BM_MaxCutEnergy is the QAOA optimizer-step shape (16 qubits, a 3-regular
+/// graph with 24 edges: one diagonal X-mask group); BM_MixedXYZEnergy mixes
+/// diagonal, X- and Y-carrying terms, so several X-mask groups (XX and YY
+/// bonds share one) each take their own pass.
 
 #include <benchmark/benchmark.h>
 
@@ -53,6 +58,49 @@ void BM_IsingVariance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IsingVariance)->DenseRange(4, 16, 4);
+
+void BM_MaxCutEnergy(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  // Möbius ladder: a ring plus the n/2 long diagonals, 3-regular.
+  qclab::algorithms::Graph graph{n, {}};
+  for (int v = 0; v < n; ++v) graph.edges.push_back({v, (v + 1) % n});
+  for (int v = 0; v < n / 2; ++v) graph.edges.push_back({v, v + n / 2});
+  const auto cost = qclab::algorithms::maxCutHamiltonian<T>(graph);
+  const auto psi = uniformState(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cost.expectation(psi));
+  }
+  state.counters["terms"] = static_cast<double>(cost.nbTerms());
+}
+BENCHMARK(BM_MaxCutEnergy)->Arg(16);
+
+void BM_MixedXYZEnergy(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  // Heisenberg chain XX + YY + ZZ with X fields and Y Z Y three-body terms.
+  qclab::Observable<T> hamiltonian(n);
+  const auto place = [n](std::initializer_list<std::pair<int, char>> factors) {
+    std::string paulis(static_cast<std::size_t>(n), 'I');
+    for (const auto& [qubit, pauli] : factors) {
+      paulis[static_cast<std::size_t>(qubit)] = pauli;
+    }
+    return paulis;
+  };
+  for (int i = 0; i + 1 < n; ++i) {
+    for (const char pauli : {'X', 'Y', 'Z'}) {
+      hamiltonian.add(place({{i, pauli}, {i + 1, pauli}}), 1.0);
+    }
+    hamiltonian.add(place({{i, 'X'}}), 0.5);
+  }
+  for (int i = 0; i + 2 < n; ++i) {
+    hamiltonian.add(place({{i, 'Y'}, {i + 1, 'Z'}, {i + 2, 'Y'}}), 0.25);
+  }
+  const auto psi = uniformState(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hamiltonian.expectation(psi));
+  }
+  state.counters["terms"] = static_cast<double>(hamiltonian.nbTerms());
+}
+BENCHMARK(BM_MixedXYZEnergy)->DenseRange(8, 16, 4);
 
 void BM_EntanglementEntropy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -3,8 +3,10 @@
 /// \file obs_main.hpp
 /// \brief Drop-in replacement for BENCHMARK_MAIN() that gives every
 /// google-benchmark binary the shared `--obs-json <path>` flag: after the
-/// benchmarks run, the process-wide obs counters are exported as one
-/// BENCH_*.json-shaped object.  Usage (instead of BENCHMARK_MAIN()):
+/// benchmarks run, the process-wide obs counters and each benchmark's real
+/// time per iteration (`ns/op`, the unit the regression gate compares) are
+/// exported as one BENCH_*.json-shaped object.  Usage (instead of
+/// BENCHMARK_MAIN()):
 ///
 ///   QCLAB_BENCH_MAIN("bench_gate_apply")
 
@@ -12,25 +14,53 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "qclab/obs/report.hpp"
 #include "obs_cli.hpp"
 
 namespace qclab::benchutil {
 
+/// Console reporter that also keeps every benchmark's real time per
+/// iteration in nanoseconds.
+class TimingCollector final : public benchmark::ConsoleReporter {
+ public:
+  TimingCollector() : ConsoleReporter(OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      timings.emplace_back(run.benchmark_name(),
+                           run.GetAdjustedRealTime() * 1e9 /
+                               benchmark::GetTimeUnitMultiplier(run.time_unit));
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::vector<std::pair<std::string, double>> timings;
+};
+
 inline int obsMain(int argc, char** argv, const char* benchName) {
   std::string obsJsonPath = extractObsJsonPath(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  if (obsJsonPath.empty()) {
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  }
+  TimingCollector collector;
+  benchmark::RunSpecifiedBenchmarks(&collector);
   benchmark::Shutdown();
-  if (!obsJsonPath.empty()) {
-    const obs::Report report(benchName);
-    if (!report.writeJson(obsJsonPath)) {
-      std::fprintf(stderr, "error: cannot write obs JSON to %s\n",
-                   obsJsonPath.c_str());
-      return 1;
-    }
+  obs::Report report(benchName);
+  for (const auto& [name, ns] : collector.timings) {
+    report.add(name, ns, "ns/op");
+  }
+  if (!report.writeJson(obsJsonPath)) {
+    std::fprintf(stderr, "error: cannot write obs JSON to %s\n",
+                 obsJsonPath.c_str());
+    return 1;
   }
   return 0;
 }
