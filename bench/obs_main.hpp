@@ -5,16 +5,18 @@
 /// google-benchmark binary the shared `--obs-json <path>` flag: after the
 /// benchmarks run, the process-wide obs counters and each benchmark's real
 /// time per iteration (`ns/op`, the unit the regression gate compares) are
-/// exported as one BENCH_*.json-shaped object.  Usage (instead of
+/// exported as one BENCH_*.json-shaped object.  Output on stdout follows
+/// `--benchmark_format` as usual.  With `--benchmark_repetitions` the JSON
+/// keeps one row per benchmark, its median.  Usage (instead of
 /// BENCHMARK_MAIN()):
 ///
 ///   QCLAB_BENCH_MAIN("bench_gate_apply")
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "qclab/obs/report.hpp"
@@ -22,40 +24,77 @@
 
 namespace qclab::benchutil {
 
-/// Console reporter that also keeps every benchmark's real time per
-/// iteration in nanoseconds.
-class TimingCollector final : public benchmark::ConsoleReporter {
- public:
-  TimingCollector() : ConsoleReporter(OO_None) {}
+/// True for a run that ended in an error or was skipped.  google-benchmark
+/// 1.8 replaced `Run::error_occurred` by `Run::skipped`.
+template <typename Run>
+bool runFailed(const Run& run) {
+  if constexpr (requires { run.skipped; }) {
+    return static_cast<bool>(run.skipped);
+  } else {
+    return run.error_occurred;
+  }
+}
 
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      timings.emplace_back(run.benchmark_name(),
-                           run.GetAdjustedRealTime() * 1e9 /
-                               benchmark::GetTimeUnitMultiplier(run.time_unit));
-    }
-    ConsoleReporter::ReportRuns(runs);
+/// Display reporter that forwards everything to the default one (so
+/// `--benchmark_format` and colour still apply) and keeps one real time
+/// per iteration, in nanoseconds, per benchmark: the `median` aggregate
+/// when repetitions produce one, else the benchmark's iteration run.
+class TimingCollector final : public benchmark::BenchmarkReporter {
+ public:
+  struct Timing {
+    std::string name;
+    double ns;
+    bool median;
+  };
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
   }
 
-  std::vector<std::pair<std::string, double>> timings;
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) record(run);
+    display_->ReportRuns(runs);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  std::vector<Timing> timings;
+
+ private:
+  void record(const Run& run) {
+    const bool median = run.run_type == Run::RT_Aggregate &&
+                        run.aggregate_name == "median";
+    if (runFailed(run) || (run.run_type != Run::RT_Iteration && !median)) {
+      return;
+    }
+    const std::string name = run.run_name.str();
+    const double ns = run.GetAdjustedRealTime() * 1e9 /
+                      benchmark::GetTimeUnitMultiplier(run.time_unit);
+    const auto it = std::find_if(timings.begin(), timings.end(),
+                                 [&](const Timing& t) { return t.name == name; });
+    if (it == timings.end()) {
+      timings.push_back({name, ns, median});
+    } else if (median || !it->median) {
+      *it = {name, ns, median};
+    }
+  }
+
+  // Owned by google-benchmark (a process-wide instance).
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
 };
 
 inline int obsMain(int argc, char** argv, const char* benchName) {
   std::string obsJsonPath = extractObsJsonPath(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (obsJsonPath.empty()) {
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
   TimingCollector collector;
   benchmark::RunSpecifiedBenchmarks(&collector);
   benchmark::Shutdown();
+  if (obsJsonPath.empty()) return 0;
   obs::Report report(benchName);
-  for (const auto& [name, ns] : collector.timings) {
-    report.add(name, ns, "ns/op");
+  for (const auto& timing : collector.timings) {
+    report.add(timing.name, timing.ns, "ns/op");
   }
   if (!report.writeJson(obsJsonPath)) {
     std::fprintf(stderr, "error: cannot write obs JSON to %s\n",
